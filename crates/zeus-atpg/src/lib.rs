@@ -249,17 +249,9 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     continue;
                 }
                 stats.podem_attempts += 1;
-                let outcome = if budget.overall.is_some() {
-                    // Campaign deadline: each fault searches under a
-                    // fair slice of what is left, so one hard fault
-                    // aborts alone instead of starving the rest.
-                    let mut fgov = budget.fault_governor(&gov, total - fi);
-                    let o = podem.generate(fault, cfg.backtrack_limit, &mut fgov);
-                    budget.settle(&mut gov, &fgov);
-                    o
-                } else {
-                    podem.generate(fault, cfg.backtrack_limit, &mut gov)
-                };
+                let outcome = budget.slice(&mut gov, total - fi, |g| {
+                    podem.generate(fault, cfg.backtrack_limit, g)
+                });
                 match outcome {
                     PodemOutcome::Test(bits) => {
                         set.push(bits);
@@ -304,14 +296,9 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                         continue;
                     }
                     ss.solves += 1;
-                    let answer = if budget.overall.is_some() {
-                        let mut fgov = budget.fault_governor(&gov, pending);
-                        let a = sat::check(design, fault, 1, None, None, cfg, &mut fgov);
-                        budget.settle(&mut gov, &fgov);
-                        a
-                    } else {
-                        sat::check(design, fault, 1, None, None, cfg, &mut gov)
-                    };
+                    let answer = budget.slice(&mut gov, pending, |g| {
+                        sat::check(design, fault, 1, None, None, cfg, g)
+                    });
                     pending -= 1;
                     match answer {
                         sat::SatAnswer::Undetectable(dimacs) => {
@@ -433,14 +420,9 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     // can observe the fault — promote it to redundant
                     // and skip the unroll entirely.
                     ss.solves += 1;
-                    let locked = if budget.overall.is_some() {
-                        let mut fgov = budget.fault_governor(&gov, share);
-                        let l = sat::check_lockstep(design, fault, cfg, &mut fgov);
-                        budget.settle(&mut gov, &fgov);
-                        l
-                    } else {
-                        sat::check_lockstep(design, fault, cfg, &mut gov)
-                    };
+                    let locked = budget.slice(&mut gov, share, |g| {
+                        sat::check_lockstep(design, fault, cfg, g)
+                    });
                     if let Some(dimacs) = locked {
                         if let Some(dir) = &cfg.emit_cnf {
                             sat::write_cnf(dir, cnf_seq, &dimacs)?;
@@ -476,20 +458,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                     while frames <= cfg.max_frames && set.len() + frames as usize <= cfg.max_vectors
                     {
                         ss.solves += 1;
-                        let answer = if budget.overall.is_some() {
-                            let mut fgov = budget.fault_governor(&gov, share);
-                            let a = sat::check(
-                                design,
-                                fault,
-                                frames,
-                                Some(init_g.clone()),
-                                Some(init_f.clone()),
-                                cfg,
-                                &mut fgov,
-                            );
-                            budget.settle(&mut gov, &fgov);
-                            a
-                        } else {
+                        let answer = budget.slice(&mut gov, share, |g| {
                             sat::check(
                                 design,
                                 fault,
@@ -497,9 +466,9 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
                                 Some(init_g.clone()),
                                 Some(init_f.clone()),
                                 cfg,
-                                &mut gov,
+                                g,
                             )
-                        };
+                        });
                         match answer {
                             sat::SatAnswer::Vectors(decoded) => {
                                 match sat::verify_frames(

@@ -258,8 +258,8 @@ pub(crate) fn verify_single(
 pub(crate) struct Budgeter {
     start: Instant,
     /// min(limits.deadline, campaign_deadline); `None` disables slicing
-    /// and [`Budgeter::fault_governor`] is never consulted.
-    pub overall: Option<Duration>,
+    /// and [`Budgeter::slice`] runs work on the shared governor.
+    overall: Option<Duration>,
     base: Limits,
 }
 
@@ -285,19 +285,29 @@ impl Budgeter {
         self.overall.map(|o| o.saturating_sub(self.start.elapsed()))
     }
 
-    /// A governor for one fault: a fair slice of the remaining wall
-    /// budget and the shared governor's leftover fuel.
-    pub(crate) fn fault_governor(&self, shared: &Governor, pending: usize) -> Governor {
+    /// Runs one fault's work. With a campaign deadline the work runs
+    /// under its own governor holding a fair slice of the remaining wall
+    /// budget (split over `pending` faults) and the shared governor's
+    /// leftover fuel, and the fuel it burns is billed back to `shared`:
+    /// one hard fault aborts alone instead of starving the rest. Without
+    /// one it runs on `shared` directly.
+    pub(crate) fn slice<T>(
+        &self,
+        shared: &mut Governor,
+        pending: usize,
+        work: impl FnOnce(&mut Governor) -> T,
+    ) -> T {
+        if self.overall.is_none() {
+            return work(shared);
+        }
         let mut l = self.base.clone();
         l.fuel = shared.fuel_left();
         l.deadline = self.remaining().map(|rem| rem / pending.max(1) as u32);
-        l.governor()
-    }
-
-    /// Bills the fuel a fault governor consumed back to the shared one.
-    pub(crate) fn settle(&self, shared: &mut Governor, fault_gov: &Governor) {
+        let mut fault_gov = l.governor();
+        let out = work(&mut fault_gov);
         if let (Some(before), Some(after)) = (shared.fuel_left(), fault_gov.fuel_left()) {
             let _ = shared.charge(before.saturating_sub(after), Span::dummy());
         }
+        out
     }
 }

@@ -771,6 +771,26 @@ fn fault_resume_rejects_a_mismatched_campaign() {
 }
 
 #[test]
+fn fault_resume_on_a_deeply_nested_header_is_a_diagnostic() {
+    let path = tmp_journal("nested");
+    std::fs::write(&path, format!("{}\n", "[".repeat(1_000_000))).unwrap();
+    let (code, _, stderr) = zeusc_code(&[
+        "fault",
+        "@adders",
+        "--top",
+        "halfadder",
+        "--vectors",
+        "8",
+        "--checkpoint",
+        path.to_str().unwrap(),
+        "--resume",
+    ]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("corrupt header"), "{stderr}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn fault_campaign_timeout_reports_partially_with_exit_3() {
     let (code, stdout, stderr) = zeusc_code(&[
         "fault",

@@ -99,11 +99,16 @@ fn argv(parts: &[&str]) -> Vec<String> {
 /// A raw protocol exchange, bypassing the retrying client (so tests can
 /// see `overloaded` / `shutting_down` / `cached` verbatim).
 fn raw(socket: &PathBuf, req: &Request) -> Response {
+    raw_line(socket, &req.encode())
+}
+
+/// Sends `line` verbatim as the request line and decodes the answer.
+fn raw_line(socket: &PathBuf, line: &str) -> Response {
     let mut stream = UnixStream::connect(socket).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(600)))
         .unwrap();
-    let mut line = req.encode();
+    let mut line = line.to_string();
     line.push('\n');
     stream.write_all(line.as_bytes()).unwrap();
     stream.shutdown(std::net::Shutdown::Write).unwrap();
@@ -401,6 +406,24 @@ fn chaos_panic_is_ignored_without_opt_in() {
     match raw(&daemon.socket, &req) {
         Response::Ok { code, .. } => assert_eq!(code, 0, "chaos honored without --chaos"),
         other => panic!("request failed: {other:?}"),
+    }
+}
+
+// -------------------------------------------------------------------
+// Hostile request lines: the accept thread answers bad_request and
+// keeps serving.
+// -------------------------------------------------------------------
+
+#[test]
+fn deeply_nested_request_line_is_a_bad_request() {
+    let daemon = Daemon::spawn("nesting", &[]);
+    match raw_line(&daemon.socket, &"[".repeat(1 << 20)) {
+        Response::BadRequest { msg } => assert!(msg.contains("nesting"), "{msg}"),
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    match raw(&daemon.socket, &request(&["help"])) {
+        Response::Ok { code, .. } => assert_eq!(code, 0),
+        other => panic!("daemon stopped serving after a nested line: {other:?}"),
     }
 }
 

@@ -30,9 +30,9 @@ use zeus_elab::{Design, InstanceNode, Limits, NetId, Netlist, NodeOp, Port, Shap
 use zeus_sema::{BasicKind, Value};
 use zeus_syntax::ast::Mode;
 use zeus_syntax::diag::{codes, Diagnostic, Diagnostics};
+use zeus_syntax::json::Json;
 use zeus_syntax::span::Span;
 
-use crate::json::Json;
 use crate::validate::validate_design;
 
 fn format_err(msg: String) -> Diagnostic {
@@ -99,14 +99,14 @@ impl<'a> Exporter<'a> {
         let rep = self.design.netlist.find_ref(net);
         match self.consts.get(&rep.0) {
             Some(s) => Json::Str(s.to_string()),
-            None => Json::Num(self.bits[&rep.0] as f64),
+            None => Json::UInt(self.bits[&rep.0]),
         }
     }
 
     fn fresh(&mut self) -> Json {
         let b = self.next_bit;
         self.next_bit += 1;
-        Json::Num(b as f64)
+        Json::UInt(b)
     }
 
     fn cell(&mut self, name: String, ty: &str, conns: Vec<(&str, Json)>) {
@@ -119,7 +119,7 @@ impl<'a> Exporter<'a> {
         self.cells.push((
             name,
             Json::Obj(vec![
-                ("hide_name".to_string(), Json::Num(1.0)),
+                ("hide_name".to_string(), Json::UInt(1)),
                 ("type".to_string(), Json::Str(ty.to_string())),
                 ("parameters".to_string(), Json::Obj(vec![])),
                 ("attributes".to_string(), Json::Obj(vec![])),
@@ -406,7 +406,7 @@ pub fn yosys_to_json(design: &Design) -> Result<String, Diagnostic> {
         netnames.push((
             name.to_string(),
             Json::Obj(vec![
-                ("hide_name".to_string(), Json::Num(0.0)),
+                ("hide_name".to_string(), Json::UInt(0)),
                 ("bits".to_string(), Json::Arr(vec![ex.bit(net)])),
             ]),
         ));
@@ -415,7 +415,7 @@ pub fn yosys_to_json(design: &Design) -> Result<String, Diagnostic> {
     let module = Json::Obj(vec![
         (
             "attributes".to_string(),
-            Json::Obj(vec![("top".to_string(), Json::Num(1.0))]),
+            Json::Obj(vec![("top".to_string(), Json::UInt(1))]),
         ),
         ("ports".to_string(), Json::Obj(ports)),
         ("cells".to_string(), Json::Obj(ex.cells)),

@@ -403,6 +403,26 @@ mod tests {
     }
 
     #[test]
+    fn exhaustive_gate_counts_the_vectors_it_simulates() {
+        // Nine IN bits, each driven 0 or 1: 2^9 = 512 vectors.
+        let out = opt(
+            "TYPE t = COMPONENT (IN a,b,c,d,e,f,g,h,i: boolean; OUT s: boolean) IS \
+             SIGNAL x,y: boolean; \
+             BEGIN x := AND(a,b); y := AND(a,b); \
+             s := OR(OR(OR(OR(x,y),c),OR(d,e)),OR(OR(f,g),OR(h,i))) END;",
+            "t",
+        );
+        assert_eq!(
+            out.report.verification,
+            Verification::Exhaustive { vectors: 512 }
+        );
+        assert_eq!(
+            out.report.verification.to_string(),
+            "exhaustive (512 input vectors)"
+        );
+    }
+
+    #[test]
     fn chain_collapse_cuts_depth() {
         // OR(OR(OR(a,b),c),d): depth 3 -> one 4-ary OR, depth 1.
         let out = opt(

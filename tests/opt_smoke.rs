@@ -168,7 +168,7 @@ fn report_metrics_match_recomputation() {
 /// pass legitimately shifts the numbers.
 #[test]
 fn no_regression_against_committed_baseline() {
-    use zeus_cli::proto::Json;
+    use zeus_syntax::json::Json;
 
     let baseline = Json::parse(include_str!("../BENCH_opt.json"))
         .unwrap_or_else(|e| panic!("BENCH_opt.json is not valid JSON: {e}"));
