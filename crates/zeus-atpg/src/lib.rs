@@ -62,8 +62,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use zeus_elab::{Design, Fault, Limits, NodeOp};
 use zeus_fault::{
-    enumerate_faults, run_campaign, run_campaign_packed, CampaignConfig, Engine, FaultKind,
-    FaultListOptions, Outcome,
+    enumerate_faults, run_campaign_packed, CampaignConfig, Engine, FaultKind, FaultListOptions,
+    Outcome,
 };
 use zeus_sema::Value;
 use zeus_sim::{VectorSet, VectorStream};
@@ -510,7 +510,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
         }
     };
 
-    // The authoritative grade: a scalar campaign replaying the emitted
+    // The authoritative grade: a packed campaign replaying the emitted
     // set, exactly what `zeusc fault --vectors-file` will run.
     let mut gcfg = CampaignConfig::replay(Engine::Graph, set.clone());
     gcfg.limits = cfg.limits.clone();
@@ -518,7 +518,7 @@ pub fn run_atpg(design: &Design, cfg: &AtpgConfig) -> Result<AtpgReport, Diagnos
         // Grading spends whatever wall budget generation left over.
         gcfg.campaign_deadline = budget.remaining();
     }
-    let grade = run_campaign(design, &list, &gcfg)?;
+    let grade = run_campaign_packed(design, &list, &gcfg, 1)?;
     partial |= grade.partial.is_some();
 
     Ok(AtpgReport {
@@ -560,6 +560,7 @@ fn detect_mode(design: &Design, list: &zeus_fault::FaultList) -> Mode {
 mod tests {
     use super::*;
     use zeus_elab::elaborate;
+    use zeus_fault::run_campaign;
     use zeus_syntax::parse_program;
 
     fn design(src: &str, top: &str) -> Design {

@@ -282,7 +282,6 @@ fn known_flags(cmd: &str) -> Vec<(&'static str, bool)> {
             ("--cycles", true),
             ("--seed", true),
             ("--set", true),
-            ("--packed", false),
             ("--opt", false),
         ]),
         "fault" => flags.extend([
@@ -293,7 +292,6 @@ fn known_flags(cmd: &str) -> Vec<(&'static str, bool)> {
             ("--bridges", false),
             ("--transients", true),
             ("--json", false),
-            ("--packed", false),
             ("--jobs", true),
             ("--checkpoint", true),
             ("--resume", false),
@@ -352,7 +350,7 @@ fn synopsis(cmd: &str) -> &'static str {
         "elab" => "zeusc elab <file.zeus> <top> [type args...] [limit flags]",
         "sim" => {
             "zeusc sim <file.zeus> <top> [type args...] [--cycles N] [--seed S] \
-             [--set port=value ...] [--packed] [--opt] [limit flags]"
+             [--set port=value ...] [--opt] [limit flags]"
         }
         "layout" => "zeusc layout <file.zeus> <top> [type args...] [limit flags]",
         "svg" => "zeusc svg <file.zeus> <top> [type args...] [limit flags]",
@@ -362,7 +360,7 @@ fn synopsis(cmd: &str) -> &'static str {
         "fault" => {
             "zeusc fault <file.zeus> <top> [type args...] [--vectors N] [--seed S] \
              [--engine graph|switch] [--bridges] [--transients C] [--json] \
-             [--packed] [--jobs N] [--checkpoint FILE] [--resume] \
+             [--jobs N] [--checkpoint FILE] [--resume] \
              [--campaign-timeout MS] [--vectors-file FILE] [--opt] [limit flags]"
         }
         "atpg" => {
@@ -404,8 +402,7 @@ fn detail(cmd: &str) -> &'static str {
         "sim" => {
             "Simulates <top> for --cycles clock cycles (default 8) and prints the\n\
              final port values. --set forces an IN port each cycle; --seed seeds\n\
-             the RANDOM source (default 0x2E051983). --packed runs the 64-lane\n\
-             bit-parallel engine (same output; used for cross-checking).\n\
+             the RANDOM source (default 0x2E051983).\n\
              --opt runs the equivalence-gated optimizer first and simulates\n\
              the optimized netlist (gate/depth deltas echoed on stderr)."
         }
@@ -421,10 +418,12 @@ fn detail(cmd: &str) -> &'static str {
             "Enumerates stuck-at (--bridges, --transients add more) faults,\n\
              runs a differential campaign against the fault-free design, and\n\
              prints a coverage report (--json for machine-readable output).\n\
-             --packed simulates 64 faults per pass with the bit-parallel\n\
-             engine; --jobs N shards the fault list over N threads (implies\n\
-             --packed). Reports are byte-identical to the scalar engine for\n\
-             the same seed.\n\
+             The graph engine (the default) simulates 64 faults per pass\n\
+             with the bit-parallel engine; --jobs N shards the fault words\n\
+             over N threads (default: all cores). Reports are byte-identical\n\
+             to the one-fault-at-a-time reference for any --jobs.\n\
+             --engine switch runs each fault on the switch-level engine, one\n\
+             at a time (--jobs is a usage error there).\n\
              --checkpoint FILE journals completed work after every 64-fault\n\
              word; --resume skips the journaled words (the final report is\n\
              byte-identical to an uninterrupted run, and the seed is\n\
@@ -532,7 +531,7 @@ fn detail(cmd: &str) -> &'static str {
              budget (exit 3). No input panics the importer.\n\
              Netlist files are accepted directly by sim/fault/atpg/opt/elab\n\
              in place of a .zeus program (the top is read from the file):\n\
-             `zeusc sim design.znl`, `zeusc fault design.znl --packed`."
+             `zeusc sim design.znl`, `zeusc fault design.znl --jobs 2`."
         }
         "export" => {
             "Exports a design in an interchange format: `zeus netlist v1` text\n\
@@ -1505,54 +1504,24 @@ fn cmd_sim(
         })
         .collect::<Result<_, Failure>>()?;
 
-    let ports = design.ports.clone();
+    let mut sim = zeus::Simulator::with_limits(design, limits).map_err(|e| diag_failure(&e))?;
+    if let Some(s) = seed {
+        sim.reseed(s);
+    }
+    for (port, val) in &forcings {
+        sim.set_port_num(port, *val)
+            .map_err(|e| Failure::Usage(e.to_string()))?;
+    }
     let mut violations = 0u64;
-    let mut values: Vec<(String, String)> = Vec::new();
-    if p.has("--packed") {
-        // The 64-lane engine with every lane driven identically: output
-        // must be byte-identical to the scalar run below.
-        let mut sim = zeus::PackedSim::with_limits(design, limits).map_err(|e| diag_failure(&e))?;
-        if let Some(s) = seed {
-            sim.reseed(s);
-        }
-        for (port, val) in &forcings {
-            sim.set_port_num(port, *val)
-                .map_err(|e| Failure::Usage(e.to_string()))?;
-        }
-        for _ in 0..cycles {
-            let r = sim.try_step().map_err(|e| diag_failure(&e))?;
-            violations += r.conflicts.iter().filter(|c| c.lanes & 1 == 1).count() as u64;
-        }
-        for port in &ports {
-            let vals: String = sim
-                .port_lane(&port.name, 0)
-                .iter()
-                .map(|v| v.to_string())
-                .collect();
-            values.push((port.name.clone(), vals));
-        }
-    } else {
-        let mut sim = zeus::Simulator::with_limits(design, limits).map_err(|e| diag_failure(&e))?;
-        if let Some(s) = seed {
-            sim.reseed(s);
-        }
-        for (port, val) in &forcings {
-            sim.set_port_num(port, *val)
-                .map_err(|e| Failure::Usage(e.to_string()))?;
-        }
-        for _ in 0..cycles {
-            let r = sim.try_step().map_err(|e| diag_failure(&e))?;
-            violations += r.conflicts.len() as u64;
-        }
-        for port in &ports {
-            let vals: String = sim.port(&port.name).iter().map(|v| v.to_string()).collect();
-            values.push((port.name.clone(), vals));
-        }
+    for _ in 0..cycles {
+        let r = sim.try_step().map_err(|e| diag_failure(&e))?;
+        violations += r.conflicts.len() as u64;
     }
     wln!(sess.out, "cycles    : {cycles}");
     wln!(sess.out, "conflicts : {violations}");
-    for (name, vals) in values {
-        wln!(sess.out, "{name:<10}: {vals}");
+    for port in &sim.design().ports {
+        let vals: String = sim.port(&port.name).iter().map(|v| v.to_string()).collect();
+        wln!(sess.out, "{:<10}: {vals}", port.name);
     }
     // A completed sim is a golden port trace: deterministic for its key
     // (the default seed is fixed), so cache the whole report.
@@ -1665,11 +1634,11 @@ fn cmd_fault(
             )))
         }
     };
-    // --jobs implies the packed engine (sharding is a packed feature).
-    let packed = p.has("--packed") || p.has("--jobs");
-    if packed && engine == zeus::Engine::Switch {
+    // The switch engine runs one fault at a time; packed words (and
+    // their sharding) model the semantics graph only.
+    if p.has("--jobs") && engine == zeus::Engine::Switch {
         return Err(Failure::Usage(
-            "--packed/--jobs support the graph engine only".to_string(),
+            "--jobs supports the graph engine only".to_string(),
         ));
     }
     let jobs = match p.u64_value("--jobs")? {
@@ -1730,12 +1699,11 @@ fn cmd_fault(
     };
     let journal = checkpoint.as_ref().or(auto_journal.as_ref());
 
-    let report = if packed {
-        zeus::run_campaign_packed_with(&design, &list, &cfg, jobs, journal)
-            .map_err(|e| diag_failure(&e))?
-    } else {
-        zeus::run_campaign_with(&design, &list, &cfg, journal).map_err(|e| diag_failure(&e))?
-    };
+    let report = match engine {
+        zeus::Engine::Graph => zeus::run_campaign_packed_with(&design, &list, &cfg, jobs, journal),
+        zeus::Engine::Switch => zeus::run_campaign_with(&design, &list, &cfg, journal),
+    }
+    .map_err(|e| diag_failure(&e))?;
     if p.has("--json") {
         wln!(sess.out, "{}", report.to_json());
     } else {

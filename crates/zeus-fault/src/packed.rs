@@ -4,7 +4,8 @@
 //! [`run_campaign`](crate::run_campaign) on the graph engine — byte for
 //! byte, for the same design, fault list, and seed — but simulates up to
 //! 64 faulty circuits per packed word ([`PackedSim`], one fault per
-//! lane) and shards the word list across `std::thread` workers.
+//! lane). Words are scheduled, sharded across `std::thread` workers,
+//! journaled and merged by the same scheduler as the scalar campaign.
 //!
 //! Three ingredients keep the output identical to the scalar path:
 //!
@@ -27,23 +28,20 @@
 //!    compare, exactly like `classify_error`. Deadlines are wall-clock
 //!    and checked once per tick per shard.
 //! 3. **Deterministic merge.** Faults are packed into words in list
-//!    order and words are sharded in contiguous ranges, so concatenating
-//!    the per-word outcome vectors by word index reproduces the scalar
-//!    result order no matter how many workers ran.
+//!    order, exactly the words the scalar campaign runs, and the shared
+//!    scheduler merges finished words by index, so the result order is
+//!    the scalar one no matter how many workers ran.
 
-use crate::campaign::UndetectedReason;
 use crate::campaign::{
-    assemble, classify_error, interruption, run_word_isolated, CampaignConfig, Engine, Outcome,
+    classify_error, schedule, CampaignConfig, Engine, Outcome, UndetectedReason,
 };
-use crate::checkpoint::{CheckpointOptions, Journal};
+use crate::checkpoint::CheckpointOptions;
 use crate::list::FaultList;
 use crate::report::CoverageReport;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 use zeus_elab::{Design, Fault, Limits};
 use zeus_sema::Value;
-use zeus_sim::{PackedSim, Simulator, LANES};
+use zeus_sim::{PackedSim, Simulator};
 use zeus_syntax::diag::Diagnostic;
 use zeus_syntax::span::Span;
 
@@ -138,12 +136,6 @@ pub fn run_campaign_packed(
     run_campaign_packed_with(design, list, cfg, jobs, None)
 }
 
-/// Never spawn more workers than there are pending fault words: excess
-/// workers would only sit idle on an empty queue.
-pub(crate) fn clamp_jobs(jobs: usize, pending_words: usize) -> usize {
-    jobs.max(1).min(pending_words.max(1))
-}
-
 /// [`run_campaign_packed`] with optional crash-safe checkpointing (see
 /// [`crate::run_campaign_with`] — the journal format is shared, so a
 /// scalar checkpoint resumes packed and vice versa). Completed words are
@@ -168,98 +160,13 @@ pub fn run_campaign_packed_with(
         return Err(Diagnostic::error(
             Span::dummy(),
             "packed campaigns support the graph engine only; \
-             rerun without --packed/--jobs or with --engine graph",
+             run the switch engine through the scalar campaign",
         ));
     }
-    cfg.validate(design)?;
-    let limits = cfg.effective_limits();
-    let golden = record_golden(design, cfg, &limits)?;
-
-    let (mut journal, mut done) = Journal::open(design, list, cfg, checkpoint)?;
-    let words: Vec<&[Fault]> = list.faults.chunks(LANES).collect();
-    let pending: Vec<usize> = (0..words.len()).filter(|w| !done.contains_key(w)).collect();
-    let jobs = clamp_jobs(jobs, pending.len());
-    let started = Instant::now();
-    let mut partial = None;
-
-    if jobs <= 1 {
-        for &w in &pending {
-            if let Some(reason) = interruption(cfg, started) {
-                partial = Some(reason);
-                break;
-            }
-            let outcomes = run_word_isolated(w, cfg, words[w].len(), || {
-                run_word(design, words[w], cfg, &limits, &golden)
-            })?;
-            if let Some(j) = journal.as_mut() {
-                j.record(w, &outcomes)?;
-            }
-            done.insert(w, outcomes);
-        }
-    } else {
-        // Contiguous word ranges per worker; merging by word index makes
-        // the result order — and therefore the report — independent of
-        // `jobs`. Workers stream finished words to the coordinator over
-        // a channel so the journal flushes while the campaign runs, and
-        // a first error (or interruption) makes every worker stop at its
-        // next word boundary, draining in-flight work.
-        let stop = AtomicBool::new(false);
-        let mut first_err: Option<Diagnostic> = None;
-        let chunk = pending.len().div_ceil(jobs);
-        let (tx, rx) = mpsc::channel::<(usize, Result<Vec<Outcome>, Diagnostic>)>();
-        std::thread::scope(|scope| {
-            for shard in pending.chunks(chunk) {
-                let tx = tx.clone();
-                let (golden, limits, words, stop) = (&golden, &limits, &words, &stop);
-                scope.spawn(move || {
-                    for &w in shard {
-                        if stop.load(Ordering::Relaxed) || interruption(cfg, started).is_some() {
-                            break;
-                        }
-                        let res = run_word_isolated(w, cfg, words[w].len(), || {
-                            run_word(design, words[w], cfg, limits, golden)
-                        });
-                        let failed = res.is_err();
-                        let _ = tx.send((w, res));
-                        if failed {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (w, res) in rx {
-                match res {
-                    Ok(outcomes) => {
-                        if let Some(j) = journal.as_mut() {
-                            if let Err(e) = j.record(w, &outcomes) {
-                                if first_err.is_none() {
-                                    first_err = Some(e);
-                                }
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        done.insert(w, outcomes);
-                    }
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if done.len() < words.len() {
-            partial = interruption(cfg, started);
-            debug_assert!(partial.is_some(), "missing words without an interruption");
-        }
-    }
-
-    Ok(assemble(design, list, cfg, done, partial))
+    schedule(design, list, cfg, jobs, checkpoint, |limits| {
+        let golden = record_golden(design, cfg, &limits)?;
+        Ok(move |faults: &[Fault]| run_word(design, faults, cfg, &limits, &golden))
+    })
 }
 
 /// Runs the fault-free simulation once under the campaign limits and
@@ -574,14 +481,6 @@ mod tests {
             assert_eq!(one.to_json(), many.to_json(), "jobs={jobs}");
             assert_eq!(one.to_text(), many.to_text(), "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn jobs_are_clamped_to_pending_words() {
-        assert_eq!(clamp_jobs(0, 5), 1, "zero jobs becomes one");
-        assert_eq!(clamp_jobs(8, 3), 3, "never more workers than words");
-        assert_eq!(clamp_jobs(2, 3), 2, "requested jobs kept when fewer");
-        assert_eq!(clamp_jobs(8, 0), 1, "nothing pending still needs one");
     }
 
     #[test]

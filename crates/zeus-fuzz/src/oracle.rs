@@ -14,9 +14,9 @@
 //! 4. **graph-vs-switch** — on the comparable subset (combinational
 //!    designs), the semantics-graph simulator and the Bryant-style
 //!    switch-level simulator must agree on every port every cycle.
-//! 5. **resume-prefix** — a fault campaign resumed from *every* prefix
-//!    of its checkpoint journal must reproduce the fresh report byte
-//!    for byte.
+//! 5. **resume-prefix** — a packed fault campaign resumed from *every*
+//!    prefix of its checkpoint journal must reproduce the fresh scalar
+//!    reference report byte for byte.
 //! 6. **atpg-replay** — the coverage a [`zeus::run_atpg`] report claims
 //!    must equal a fresh campaign replaying the emitted vector set
 //!    (after a text round-trip of the set itself).
@@ -49,9 +49,9 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zeus::{
-    catch_panic, enumerate_faults, optimize, run_atpg, run_campaign, run_campaign_with, AtpgConfig,
-    CampaignConfig, CheckpointOptions, Design, Engine, FaultListOptions, Limits, OptConfig,
-    PackedSim, Simulator, SwitchSim, Value, VectorSet, VectorStream, Zeus, LANES,
+    catch_panic, enumerate_faults, optimize, run_atpg, run_campaign, run_campaign_packed_with,
+    AtpgConfig, CampaignConfig, CheckpointOptions, Design, Engine, FaultListOptions, Limits,
+    OptConfig, PackedSim, Simulator, SwitchSim, Value, VectorSet, VectorStream, Zeus, LANES,
 };
 
 use crate::gen::case_seed;
@@ -444,7 +444,8 @@ fn graph_vs_switch(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVer
     OracleVerdict::Agree
 }
 
-/// Oracle 5: campaign resume-from-every-prefix vs fresh run.
+/// Oracle 5: packed campaign resume-from-every-prefix vs a fresh run of
+/// the scalar reference campaign.
 fn resume_prefix(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdict {
     let list = enumerate_faults(design, &FaultListOptions::default());
     if list.faults.is_empty() {
@@ -463,11 +464,16 @@ fn resume_prefix(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdi
 
     let path = cc.scratch.join(format!("{}-resume.journal", cc.tag));
     let _ = std::fs::remove_file(&path);
-    let journaled =
-        match run_campaign_with(design, &list, &cfg, Some(&CheckpointOptions::new(&path))) {
-            Ok(r) => r.to_json(),
-            Err(d) => return diag_verdict(d, "journal"),
-        };
+    let journaled = match run_campaign_packed_with(
+        design,
+        &list,
+        &cfg,
+        1,
+        Some(&CheckpointOptions::new(&path)),
+    ) {
+        Ok(r) => r.to_json(),
+        Err(d) => return diag_verdict(d, "journal"),
+    };
     if journaled != fresh {
         let _ = std::fs::remove_file(&path);
         return OracleVerdict::Diverged {
@@ -488,14 +494,19 @@ fn resume_prefix(design: &Design, vec_seed: u64, cc: &CaseConfig) -> OracleVerdi
         if std::fs::write(&path, prefix).is_err() {
             break;
         }
-        let resumed =
-            match run_campaign_with(design, &list, &cfg, Some(&CheckpointOptions::resume(&path))) {
-                Ok(r) => r.to_json(),
-                Err(d) => {
-                    let _ = std::fs::remove_file(&path);
-                    return diag_verdict(d, "resume");
-                }
-            };
+        let resumed = match run_campaign_packed_with(
+            design,
+            &list,
+            &cfg,
+            1,
+            Some(&CheckpointOptions::resume(&path)),
+        ) {
+            Ok(r) => r.to_json(),
+            Err(d) => {
+                let _ = std::fs::remove_file(&path);
+                return diag_verdict(d, "resume");
+            }
+        };
         let resumed = if cc.chaos == Some(Oracle::ResumePrefix) && keep == 0 {
             // Mutation self-test hook: corrupt the resumed report.
             format!("{resumed}#chaos")

@@ -278,10 +278,9 @@ pub struct PackedSim {
     forced: HashMap<NetId, PackedWord>,
     cycle: u64,
     rng: StdRng,
-    check_conflicts: bool,
     budget: StepBudget,
-    /// Injected faults with their lane masks, in injection order.
-    faults: Vec<(Fault, u64)>,
+    /// Whether any fault was injected (selects the faulty sweep).
+    faulty: bool,
     /// Stuck-at-0 lanes per net index.
     stuck0: HashMap<usize, u64>,
     /// Stuck-at-1 lanes per net index.
@@ -302,8 +301,6 @@ pub struct PackedSim {
     /// per-lane analogue of the scalar `sweeps_last_cycle`, used for
     /// exact per-pattern fuel accounting.
     lane_sweeps: [u32; LANES],
-    /// Lanes whose bridge resolution failed to converge last cycle.
-    unstable_last_cycle: u64,
     /// Lanes whose bridge resolution ever failed to converge.
     ever_unstable: u64,
 }
@@ -345,9 +342,8 @@ impl PackedSim {
             forced: HashMap::new(),
             cycle: 0,
             rng: StdRng::seed_from_u64(0x2E05_1983),
-            check_conflicts: true,
             budget: StepBudget::new(limits),
-            faults: Vec::new(),
+            faulty: false,
             stuck0: HashMap::new(),
             stuck1: HashMap::new(),
             flips: HashMap::new(),
@@ -356,7 +352,6 @@ impl PackedSim {
             bridge_clamp: HashMap::new(),
             bridge_natural: HashMap::new(),
             lane_sweeps: [1; LANES],
-            unstable_last_cycle: 0,
             ever_unstable: 0,
         };
         if let Some(clk) = sim.design.clk {
@@ -386,19 +381,9 @@ impl PackedSim {
         self.rng = StdRng::seed_from_u64(seed);
     }
 
-    /// Enables or disables the runtime single-assignment check.
-    pub fn set_conflict_checking(&mut self, on: bool) {
-        self.check_conflicts = on;
-    }
-
     /// Forces a net to a packed word (holds until changed).
     pub fn force(&mut self, net: NetId, w: PackedWord) {
         self.forced.insert(net, w);
-    }
-
-    /// Stops forcing a net.
-    pub fn release(&mut self, net: NetId) {
-        self.forced.remove(&net);
     }
 
     /// Drives the predefined RSET signal in every lane.
@@ -406,14 +391,6 @@ impl PackedSim {
         if let Some(r) = self.design.rset {
             self.forced
                 .insert(r, PackedWord::splat(Value::from_bool(v)));
-        }
-    }
-
-    /// Drives the predefined CLK signal in every lane.
-    pub fn set_clk(&mut self, v: bool) {
-        if let Some(c) = self.design.clk {
-            self.forced
-                .insert(c, PackedWord::splat(Value::from_bool(v)));
         }
     }
 
@@ -445,31 +422,6 @@ impl PackedSim {
         Ok(())
     }
 
-    /// Sets a port from an unsigned number in every lane (LSB at bit 1).
-    ///
-    /// # Errors
-    ///
-    /// See [`PackedSim::set_port`]; also errors when the value does not
-    /// fit.
-    pub fn set_port_num(&mut self, name: &str, v: u64) -> Result<(), Diagnostic> {
-        let width = self
-            .design
-            .port(name)
-            .ok_or_else(|| Diagnostic::error(Span::dummy(), format!("no port named '{name}'")))?
-            .nets
-            .len();
-        if width < 64 && v >= (1u64 << width) {
-            return Err(Diagnostic::error(
-                Span::dummy(),
-                format!("value {v} does not fit in the {width}-bit port '{name}'"),
-            ));
-        }
-        let bits: Vec<Value> = (0..width)
-            .map(|i| Value::from_bool((v >> i) & 1 == 1))
-            .collect();
-        self.set_port(name, &bits)
-    }
-
     /// Reads one lane of a port (boolean view, like
     /// [`crate::Simulator::port`]).
     pub fn port_lane(&self, name: &str, lane: usize) -> Vec<Value> {
@@ -489,11 +441,6 @@ impl PackedSim {
         self.values[rep.index()]
     }
 
-    /// Raw resolved value of a net in one lane.
-    pub fn value_lane(&self, net: NetId, lane: usize) -> Value {
-        self.value(net).get(lane)
-    }
-
     /// Number of cycles simulated so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -504,14 +451,9 @@ impl PackedSim {
         &self.lane_sweeps
     }
 
-    /// Mask of lanes whose bridge resolution oscillated last cycle.
-    pub fn unstable_last_cycle(&self) -> u64 {
-        self.unstable_last_cycle
-    }
-
     /// Mask of lanes whose bridge resolution ever oscillated since
-    /// construction or [`PackedSim::reset_state`] (the per-lane analogue
-    /// of [`crate::Simulator::first_unstable_cycle`]`.is_some()`).
+    /// construction (the per-lane analogue of
+    /// [`crate::Simulator::first_unstable_cycle`]`.is_some()`).
     pub fn ever_unstable(&self) -> u64 {
         self.ever_unstable
     }
@@ -529,8 +471,7 @@ impl PackedSim {
     /// of a parallel-fault campaign: 64 *different* faulty circuits share
     /// one packed sweep, one fault per lane. Like the scalar simulator,
     /// sites are canonicalized and clamps override the natural drive
-    /// without counting as extra active drivers; faults survive
-    /// [`PackedSim::reset_state`].
+    /// without counting as extra active drivers.
     ///
     /// # Errors
     ///
@@ -587,13 +528,13 @@ impl PackedSim {
                 }
             }
         }
-        self.faults.push((Fault { site, kind }, lanes));
+        self.faulty = true;
         Ok(())
     }
 
     /// Removes all injected faults from all lanes.
     pub fn clear_faults(&mut self) {
-        self.faults.clear();
+        self.faulty = false;
         self.stuck0.clear();
         self.stuck1.clear();
         self.flips.clear();
@@ -601,36 +542,6 @@ impl PackedSim {
         self.bridges.clear();
         self.bridge_clamp.clear();
         self.bridge_natural.clear();
-        self.unstable_last_cycle = 0;
-        self.ever_unstable = 0;
-    }
-
-    /// The injected faults with their lane masks, in injection order.
-    pub fn injected_faults(&self) -> &[(Fault, u64)] {
-        &self.faults
-    }
-
-    /// Resets registers to UNDEF in every lane, the cycle counter to 0,
-    /// and clears every outstanding force (restoring the default CLK/RSET
-    /// drives). Injected faults are *not* cleared, matching
-    /// [`crate::Simulator::reset_state`].
-    pub fn reset_state(&mut self) {
-        for (_, w) in &mut self.regs {
-            *w = PackedWord::UNDEF;
-        }
-        self.cycle = 0;
-        self.forced.clear();
-        if let Some(clk) = self.design.clk {
-            self.forced.insert(clk, PackedWord::ONE);
-        }
-        if let Some(rset) = self.design.rset {
-            self.forced.insert(rset, PackedWord::ZERO);
-        }
-        self.bridge_clamp.clear();
-        for (_, nat) in self.bridge_natural.values_mut() {
-            *nat = PackedWord::NOINFL;
-        }
-        self.unstable_last_cycle = 0;
         self.ever_unstable = 0;
     }
 
@@ -651,12 +562,11 @@ impl PackedSim {
             }
         }
 
-        if self.faults.is_empty() {
-            self.lane_sweeps = [1; LANES];
-            self.unstable_last_cycle = 0;
-            self.eval_cycle(false);
-        } else {
+        if self.faulty {
             self.eval_cycle_faulty();
+        } else {
+            self.lane_sweeps = [1; LANES];
+            self.eval_cycle(false);
         }
 
         // Latch registers lane-wise: a lane keeps its stored value when
@@ -670,19 +580,18 @@ impl PackedSim {
             *r = v.select(m, *r);
         }
 
-        let mut conflicts = Vec::new();
-        if self.check_conflicts {
-            for (i, &m) in self.multi.iter().enumerate() {
-                if m != 0 {
-                    conflicts.push(PackedConflict {
-                        cycle: self.cycle,
-                        net: NetId(i as u32),
-                        name: self.design.netlist.nets[i].name.clone(),
-                        lanes: m,
-                    });
-                }
-            }
-        }
+        let conflicts = self
+            .multi
+            .iter()
+            .enumerate()
+            .filter(|&(_, &m)| m != 0)
+            .map(|(i, &m)| PackedConflict {
+                cycle: self.cycle,
+                net: NetId(i as u32),
+                name: self.design.netlist.nets[i].name.clone(),
+                lanes: m,
+            })
+            .collect();
         let report = PackedCycleReport {
             cycle: self.cycle,
             conflicts,
@@ -711,15 +620,6 @@ impl PackedSim {
                 .charge_work((max_sweeps as u64 - 1) * self.order.len() as u64)?;
         }
         Ok(report)
-    }
-
-    /// Runs `n` cycles, returning the last report.
-    pub fn run(&mut self, n: usize) -> PackedCycleReport {
-        let mut last = PackedCycleReport::default();
-        for _ in 0..n {
-            last = self.step();
-        }
-        last
     }
 
     /// One full packed evaluation sweep (the word-wide analogue of the
@@ -803,7 +703,6 @@ impl PackedSim {
     /// one-fault simulator running lane `l` alone.
     fn eval_cycle_faulty(&mut self) {
         let rng_start = self.rng.clone();
-        self.unstable_last_cycle = 0;
         self.bridge_clamp.clear();
 
         let mut cap = [2u32; LANES];
@@ -867,7 +766,6 @@ impl PackedSim {
                 }
             }
             if overdue != 0 {
-                self.unstable_last_cycle |= overdue;
                 self.ever_unstable |= overdue;
                 let bridges = self.bridges.clone();
                 for (a, b, lanes) in bridges {
@@ -929,16 +827,12 @@ impl PackedSim {
         }
         let i = net.index();
         let w = &mut self.values[i];
-        if self.check_conflicts {
-            let dup = self.once[i] & m;
-            self.multi[i] |= dup;
-            self.once[i] |= m;
-            *w = v.select(m, *w);
-            w.lo |= self.multi[i];
-            w.hi |= self.multi[i];
-        } else {
-            *w = v.select(m, *w);
-        }
+        let dup = self.once[i] & m;
+        self.multi[i] |= dup;
+        self.once[i] |= m;
+        *w = v.select(m, *w);
+        w.lo |= self.multi[i];
+        w.hi |= self.multi[i];
         if faulty {
             self.apply_fault_clamp(i, m);
         }

@@ -471,7 +471,11 @@ impl Simulator {
             self.forced.insert(rset, Value::Zero);
         }
         self.bridge_clamp.clear();
-        self.bridge_natural.clear();
+        // The bridged nets stay registered (their natural values are
+        // recorded every sweep); only the values recorded so far go.
+        for nat in self.bridge_natural.values_mut() {
+            *nat = Value::NoInfl;
+        }
         self.fault_unstable = false;
         self.first_unstable_cycle = None;
     }
@@ -1074,6 +1078,35 @@ mod tests {
         s.clear_faults();
         s.step();
         assert_eq!(s.port("cout"), vec![Value::Zero]);
+    }
+
+    #[test]
+    fn bridge_faults_survive_reset() {
+        let mut s = sim(HALFADDER, "halfadder", &[]);
+        let cout = *s.design().names.get("halfadder.cout").unwrap();
+        let sum = *s.design().names.get("halfadder.s").unwrap();
+        s.inject(zeus_elab::Fault::bridge(cout, sum)).unwrap();
+        let run = |s: &mut Simulator| {
+            s.set_port_bit("a", Value::Zero).unwrap();
+            s.set_port_bit("b", Value::Zero).unwrap();
+            s.step();
+            (
+                s.port("s"),
+                s.port("cout"),
+                s.fault_unstable_last_cycle(),
+                s.sweeps_last_cycle(),
+            )
+        };
+        let fresh = run(&mut s);
+        assert_eq!(fresh, (vec![Value::Zero], vec![Value::Zero], false, 1));
+        s.reset_state();
+        assert_eq!(s.injected_faults().len(), 1, "faults survive reset");
+        assert_eq!(
+            run(&mut s),
+            fresh,
+            "a reset bridge must settle like a fresh one"
+        );
+        assert_eq!(s.first_unstable_cycle(), None);
     }
 
     #[test]
